@@ -99,18 +99,30 @@ struct FlowOptions {
   static FlowOptions unoptimized();
 };
 
-/// Wall-clock observability of one synthesize_control call.  Per-stage
-/// times are summed across controllers (CPU-style totals); the wall time
-/// of the parallel region is reported separately so speedup is visible.
+/// Wall-clock observability of one synthesize_control call.
+///
+/// Two kinds of quantity live here.  `bm_compile_ms`, `minimalist_ms`,
+/// `techmap_ms` and `lint_ms` are *sums* of per-controller span times
+/// across all worker threads (CPU-style totals): with `jobs` > 1 the
+/// controllers overlap, so these may exceed the wall time of the call.
+/// `controllers_wall_ms` and `total_ms` are *wall* time.  The invariants
+/// that hold on any core count are
+///   sum of per-controller stages <= controllers_wall_ms * jobs
+///   controllers_wall_ms <= total_ms
+/// (at most `jobs` threads run controllers inside the parallel region, and
+/// that region lies inside the call).
 struct StageTimings {
-  double to_ch_ms = 0.0;      ///< Balsa-to-CH translation (+ templates)
-  double cluster_ms = 0.0;    ///< T1/T2 clustering
-  double bm_compile_ms = 0.0; ///< CH-to-BMS, summed across controllers
-  double minimalist_ms = 0.0; ///< two-level synthesis (or cache lookup)
-  double techmap_ms = 0.0;    ///< technology mapping
-  double lint_ms = 0.0;       ///< all lint stages, including handshake/gates
+  double to_ch_ms = 0.0;      ///< Balsa-to-CH translation (+ templates); wall
+  double cluster_ms = 0.0;    ///< T1/T2 clustering; wall
+  double bm_compile_ms = 0.0; ///< CH-to-BMS, summed across workers
+  double minimalist_ms = 0.0; ///< two-level synthesis (or cache lookup),
+                              ///< summed across workers
+  double techmap_ms = 0.0;    ///< technology mapping, summed across workers
+  /// All lint stages: the per-controller passes summed across workers,
+  /// plus the handshake- and gate-level passes that run outside them.
+  double lint_ms = 0.0;
   double controllers_wall_ms = 0.0;  ///< wall time of the parallel region
-  double total_ms = 0.0;             ///< whole synthesize_control call
+  double total_ms = 0.0;             ///< wall time of the whole call
   int jobs = 1;                      ///< worker threads actually used
   std::uint64_t cache_hits = 0;      ///< this call's hits (not global)
   std::uint64_t cache_misses = 0;

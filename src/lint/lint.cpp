@@ -237,7 +237,7 @@ Report lint_two_level(const minimalist::SynthesizedController& ctrl,
       if (bad) continue;
       for (const minimalist::Privilege& p : fspec.privileges) {
         if (product.intersects(p.transition) &&
-            !product.agrees_with_fixed(p.anchor)) {
+            !product.intersects(p.anchor)) {
           report.add("MN001", fobject,
                      "product " + product.to_string() +
                          " intersects privileged transition cube " +

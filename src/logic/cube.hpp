@@ -3,11 +3,20 @@
 // A cube is a product term: each variable is either required 0, required 1,
 // or unconstrained (DASH).  Cubes are the currency of the two-level logic
 // engine used by the Burst-Mode synthesizer (Minimalist substitute).
+//
+// Storage is two bit planes in 64-bit words: a *care* mask (bit set = the
+// variable is fixed) and a *value* mask (the fixed value).  Value bits are
+// kept 0 wherever care is 0, and bits past size() are 0 in both planes, so
+// a cube has exactly one representation and equality and hashing compare
+// words.  The set operations below are word operations.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace bb::logic {
@@ -25,7 +34,8 @@ class Cube {
   Cube() = default;
 
   /// Full cube (all DASH) over `num_vars` variables.
-  explicit Cube(std::size_t num_vars) : lits_(num_vars, Lit::kDash) {}
+  explicit Cube(std::size_t num_vars)
+      : size_(num_vars), words_(2 * ((num_vars + 63) / 64), 0) {}
 
   /// Parses "10-1" style strings ('0', '1', '-').  Throws on bad input.
   static Cube parse(std::string_view text);
@@ -33,9 +43,21 @@ class Cube {
   /// Cube matching exactly one minterm, given as a bit vector.
   static Cube from_minterm(const std::vector<bool>& bits);
 
-  std::size_t size() const { return lits_.size(); }
-  Lit operator[](std::size_t i) const { return lits_[i]; }
-  void set(std::size_t i, Lit v) { lits_[i] = v; }
+  std::size_t size() const { return size_; }
+
+  Lit operator[](std::size_t i) const {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if ((words_[2 * (i / 64)] & bit) == 0) return Lit::kDash;
+    return (words_[2 * (i / 64) + 1] & bit) != 0 ? Lit::kOne : Lit::kZero;
+  }
+
+  void set(std::size_t i, Lit v) {
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    std::uint64_t& care = words_[2 * (i / 64)];
+    std::uint64_t& value = words_[2 * (i / 64) + 1];
+    care = v == Lit::kDash ? care & ~bit : care | bit;
+    value = v == Lit::kOne ? value | bit : value & ~bit;
+  }
 
   /// Number of non-DASH literals.
   std::size_t num_literals() const;
@@ -43,15 +65,12 @@ class Cube {
   /// True if this cube's set of minterms contains `other`'s.
   bool contains(const Cube& other) const;
 
-  /// True if, for every variable `other` fixes, this cube is either free
-  /// or fixes the same value (no literal of this cube conflicts with
-  /// `other`'s constraints).
-  bool agrees_with_fixed(const Cube& other) const;
-
   /// True if the minterm (bit vector) lies inside this cube.
   bool contains_minterm(const std::vector<bool>& bits) const;
 
-  /// True if the two cubes share at least one minterm.
+  /// True if no variable is fixed to opposite values by the two cubes, over
+  /// the first min(size(), other.size()) variables.  For cubes of equal
+  /// width: the cubes share at least one minterm.
   bool intersects(const Cube& other) const;
 
   /// The intersection cube, or nullopt if the cubes are disjoint.
@@ -69,10 +88,46 @@ class Cube {
   /// Renders as a '0'/'1'/'-' string.
   std::string to_string() const;
 
+  /// Hash of the packed words (consistent with operator==).
+  std::size_t hash() const;
+
   bool operator==(const Cube& other) const = default;
 
  private:
-  std::vector<Lit> lits_;
+  friend class CubeTable;
+
+  std::size_t size_ = 0;
+  /// Interleaved planes: words_[2k] is the care mask of variables
+  /// 64k..64k+63, words_[2k + 1] their values.
+  std::vector<std::uint64_t> words_;
+};
+
+/// Cubes stored back to back in one block of words, for scanning one cube
+/// against many: hfmin tests every trial expansion against a function's
+/// whole OFF set and privilege list.  The stride is the widest cube's word
+/// count; narrower cubes are padded with DASH, so intersects() agrees with
+/// Cube::intersects (over the shared variables) for cubes of any width.
+class CubeTable {
+ public:
+  explicit CubeTable(const std::vector<Cube>& cubes);
+
+  std::size_t size() const { return count_; }
+
+  /// Cube::intersects between the `i`-th cube and `c`.
+  bool intersects(std::size_t i, const Cube& c) const;
+
+  /// The first index >= `from` whose cube intersects `c`, or size().
+  std::size_t next_intersecting(const Cube& c, std::size_t from = 0) const;
+
+ private:
+  std::size_t count_ = 0;
+  std::size_t stride_ = 0;  ///< words per cube (care/value interleaved)
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace bb::logic
+
+template <>
+struct std::hash<bb::logic::Cube> {
+  std::size_t operator()(const bb::logic::Cube& c) const { return c.hash(); }
+};
