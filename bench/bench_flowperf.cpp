@@ -69,7 +69,15 @@ Run run_flow(const bb::hsnet::Netlist& net, int jobs, bool cache,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string json_path = argc > 1 ? argv[1] : "bench_flowperf.json";
+  std::string json_path = "bench_flowperf.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) == 0) {
+      std::cerr << "usage: bench_flowperf [out.json]\n";
+      return 2;
+    }
+    json_path = arg;
+  }
   // Tracing/metrics are opt-in via environment (CI sets BB_TRACE so the
   // bench doubles as the trace-artifact producer).
   bb::obs::Session session(bb::obs::env_or("", "BB_TRACE"),

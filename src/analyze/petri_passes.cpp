@@ -31,8 +31,10 @@ namespace bb::analyze {
 namespace {
 
 std::string transition_name(const petri::Transition& t, int id) {
-  return t.label.empty() ? "t" + std::to_string(id) + " (tau)"
-                         : "t" + std::to_string(id) + " '" + t.label + "'";
+  std::string name = "t";
+  name += std::to_string(id);
+  name += t.label.empty() ? " (tau)" : " '" + t.label + "'";
+  return name;
 }
 
 std::string place_list(const std::vector<int>& places, std::size_t cap = 12) {
@@ -44,7 +46,8 @@ std::string place_list(const std::vector<int>& places, std::size_t cap = 12) {
       break;
     }
     if (!s.empty()) s += ", ";
-    s += "p" + std::to_string(p);
+    s += 'p';
+    s += std::to_string(p);
     ++shown;
   }
   return s;

@@ -50,7 +50,8 @@ void print_expr(const Expr& e, std::string& out) {
       return;
     case Expr::Kind::kSlice:
       print_expr(*e.lhs, out);
-      out += "[" + std::to_string(e.slice_hi);
+      out += '[';
+      out += std::to_string(e.slice_hi);
       if (e.slice_lo != e.slice_hi) out += ".." + std::to_string(e.slice_lo);
       out += "]";
       return;

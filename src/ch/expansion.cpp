@@ -431,7 +431,9 @@ std::string to_string(const Expansion& expansion) {
   std::string s;
   for (std::size_t i = 0; i < 4; ++i) {
     if (i > 0) s += " ";
-    s += "[" + to_string(expansion.events[i]) + "]";
+    s += '[';
+    s += to_string(expansion.events[i]);
+    s += ']';
   }
   return s;
 }

@@ -1,5 +1,6 @@
 #include "src/flow/faultsim.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -23,6 +24,7 @@
 #include "src/sim/fault.hpp"
 #include "src/trace/automaton.hpp"
 #include "src/trace/spec_lts.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/prng.hpp"
 
 namespace bb::flow {
@@ -99,12 +101,28 @@ std::vector<MonitorSpec> monitor_specs(const hsnet::Netlist& net,
   return specs;
 }
 
-/// Records every edge on a controller's interface wires as "<wire>+/-".
-/// The verdict is computed afterwards with trace::reject_prefix, which
-/// also yields the minimal counterexample prefix.
+/// Steps a controller's specification DFA online with every edge on its
+/// interface wires, labelled "<wire>+/-".  The monitor judges only the
+/// leading min(horizon, kMaxTrace) labels and settles once it has
+/// rejected one of them or accepted all of them; it ignores later edges.
+/// A rejecting monitor's observed trace ends with the rejected label, so
+/// it is the minimal counterexample prefix (what trace::reject_prefix
+/// returns for the whole observation).
 class TraceMonitor : public sim::Process {
  public:
-  explicit TraceMonitor(const MonitorSpec* spec) : spec_(spec) {}
+  /// A faulted run can oscillate for millions of events; a rejecting
+  /// prefix, if any, lies near the front, so judging a bounded window
+  /// loses nothing.
+  static constexpr std::size_t kMaxTrace = 4096;
+
+  /// `on_settle` (optional) runs once, on the edge that settles the
+  /// monitor.
+  TraceMonitor(const MonitorSpec* spec, std::size_t horizon,
+               std::function<void(sim::Simulator&)> on_settle = {})
+      : spec_(spec),
+        limit_(std::min(horizon, kMaxTrace)),
+        state_(spec->dfa.initial),
+        on_settle_(std::move(on_settle)) {}
 
   /// Resolves the alphabet to nets and subscribes; false when a wire is
   /// missing from the netlist (monitor not attached).
@@ -125,21 +143,28 @@ class TraceMonitor : public sim::Process {
   }
 
   void on_change(sim::Simulator& sim, int net) override {
-    // A faulted run can oscillate for millions of events; the rejecting
-    // prefix (if any) is always near the front, so recording a bounded
-    // window loses nothing.
-    if (observed_.size() >= kMaxTrace) return;
+    if (settled_) return;
     observed_.push_back(net_label_[net] + (sim.value(net) ? "+" : "-"));
+    state_ = spec_->dfa.step(state_, observed_.back());
+    rejected_ = state_ < 0;
+    settled_ = rejected_ || observed_.size() >= limit_;
+    if (settled_ && on_settle_) on_settle_(sim);
   }
 
   const MonitorSpec* spec() const { return spec_; }
   const std::vector<std::string>& observed() const { return observed_; }
+  bool settled() const { return settled_; }
+  bool rejected() const { return rejected_; }
 
  private:
-  static constexpr std::size_t kMaxTrace = 4096;
   const MonitorSpec* spec_;
+  std::size_t limit_;  ///< labels judged: min(horizon, kMaxTrace)
+  int state_;          ///< current DFA state; -1 once rejected
+  std::function<void(sim::Simulator&)> on_settle_;
   std::vector<std::string> net_label_;
   std::vector<std::string> observed_;
+  bool settled_ = false;
+  bool rejected_ = false;
 };
 
 /// A monitor that survived baseline validation, together with the trace
@@ -156,12 +181,54 @@ struct TrustedMonitor {
   std::size_t horizon = 0;  ///< labels checked per run; SIZE_MAX = all
 };
 
-/// The leading portion of an observed trace a monitor is trusted over.
-std::vector<std::string> clip(std::vector<std::string> observed,
-                              std::size_t horizon) {
-  if (observed.size() > horizon) observed.resize(horizon);
-  return observed;
-}
+/// The trace verdict of one faulted run, decided while the run is in
+/// progress.  The first monitor *in index order* that rejects names the
+/// counterexample, not the first to reject in time, so the verdict is
+/// fixed once some monitor has rejected and every monitor before it has
+/// settled without rejecting.  Nothing the run does afterwards can
+/// change its classification (the trace verdict outranks every other
+/// outcome), so the simulator is stopped there.
+class RunVerdict {
+ public:
+  /// Attaches a monitor for `tm`; one whose wires are missing from the
+  /// netlist is left out.
+  void attach(System& system, const TrustedMonitor& tm) {
+    auto monitor = std::make_unique<TraceMonitor>(
+        tm.spec, tm.horizon, [this](sim::Simulator& sim) { settle(sim); });
+    if (monitor->attach(system)) monitors_.push_back(std::move(monitor));
+  }
+
+  /// The first monitor in index order that rejected, or nullptr.
+  const TraceMonitor* rejecting() const {
+    for (const auto& monitor : monitors_) {
+      if (monitor->rejected()) return monitor.get();
+    }
+    return nullptr;
+  }
+
+  /// True once the verdict was fixed and the run asked to stop.
+  bool decided() const { return decided_; }
+  /// Events the run had handled when the verdict was fixed.
+  std::uint64_t decided_at_events() const { return decided_at_events_; }
+
+ private:
+  void settle(sim::Simulator& sim) {
+    if (decided_) return;
+    for (const auto& monitor : monitors_) {
+      if (!monitor->settled()) return;
+      if (monitor->rejected()) {
+        decided_ = true;
+        decided_at_events_ = sim.events_processed();
+        sim.stop();
+        return;
+      }
+    }
+  }
+
+  std::vector<std::unique_ptr<TraceMonitor>> monitors_;
+  bool decided_ = false;
+  std::uint64_t decided_at_events_ = 0;
+};
 
 /// A fault selected before any run, as closures over stable gate indices
 /// (the flow is deterministic, so indices carry across fresh Systems).
@@ -189,7 +256,7 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
   run.kind = pf.kind;
 
   std::optional<sim::FaultPlan> plan;
-  std::vector<std::pair<std::unique_ptr<TraceMonitor>, std::size_t>> monitors;
+  RunVerdict verdict;
   BenchmarkHooks hooks;
   hooks.max_sim_ns = campaign.max_sim_ns;
   hooks.max_events = campaign.max_events;
@@ -205,12 +272,7 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
         run.fault += fault.describe(system.gates());
       }
     }
-    for (const TrustedMonitor& tm : trusted) {
-      auto monitor = std::make_unique<TraceMonitor>(tm.spec);
-      if (monitor->attach(system)) {
-        monitors.emplace_back(std::move(monitor), tm.horizon);
-      }
-    }
+    for (const TrustedMonitor& tm : trusted) verdict.attach(system, tm);
   };
 
   bool crashed = false;
@@ -226,21 +288,16 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
   if (!crashed) {
     run.detail = result.detail;
     run.outcome = FaultOutcome::kTolerated;
+    span.arg("stop", sim::run_status_name(result.status));
     // The trace verdict wins: a counterexample names the exact protocol
     // step the fault corrupted, which the end-to-end oracles cannot.
-    // Each monitor only judges the leading window its baseline run
+    // Each monitor only judged the leading window its baseline run
     // calibrated as trustworthy.
-    for (const auto& [monitor, horizon] : monitors) {
-      auto cex = trace::reject_prefix(monitor->spec()->dfa,
-                                      clip(monitor->observed(), horizon));
-      if (!cex.empty()) {
-        run.outcome = FaultOutcome::kTraceCounterexample;
-        run.monitor = monitor->spec()->name;
-        run.counterexample = std::move(cex);
-        break;
-      }
-    }
-    if (run.outcome == FaultOutcome::kTolerated && !result.ok) {
+    if (const TraceMonitor* monitor = verdict.rejecting()) {
+      run.outcome = FaultOutcome::kTraceCounterexample;
+      run.monitor = monitor->spec()->name;
+      run.counterexample = monitor->observed();
+    } else if (!result.ok) {
       if (result.completed) {
         run.outcome = FaultOutcome::kWrongOutput;
       } else if (result.status == sim::RunStatus::kQuiescent) {
@@ -252,20 +309,21 @@ FaultRun execute(const std::string& design, const FlowOptions& options,
   }
   run.detected = fault_detected(run.outcome);
   span.arg("outcome", fault_outcome_name(run.outcome));
+  if (verdict.decided()) {
+    span.arg("decided_at_events", verdict.decided_at_events());
+  }
   if (run.detected) {
     obs::Registry::global().counter("faultsim.detected").add();
   }
   return run;
 }
 
-/// FNV-1a, to give each design its own PRNG stream under one seed.
+/// Gives each design its own PRNG stream under one seed.  The FNV-1a
+/// basis here is 1469598103934665603, a digit short of the standard
+/// 14695981039346656037; it stays because it fixes every seed's fault
+/// list.
 std::uint64_t mix_design(std::uint64_t seed, const std::string& design) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : design) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return seed ^ h;
+  return seed ^ util::fnv1a64(design, 1469598103934665603ull);
 }
 
 }  // namespace
@@ -340,7 +398,8 @@ DesignCampaign run_design_campaign(const std::string& design,
           break;
         }
       }
-      auto monitor = std::make_unique<TraceMonitor>(&spec);
+      auto monitor = std::make_unique<TraceMonitor>(
+          &spec, std::numeric_limits<std::size_t>::max());
       if (monitor->attach(system)) {
         baseline_monitors.push_back(std::move(monitor));
       }
@@ -360,16 +419,16 @@ DesignCampaign run_design_campaign(const std::string& design,
   // monitor is still sound over the first p-1 labels, so faulted runs
   // are judged on that window; a horizon too short to contain a
   // handshake is specification mismatch, and the monitor is dropped.
+  // The baseline monitors walked their DFAs online like the faulted
+  // runs' do; a rejecting one's observed trace ends at label p.
   constexpr std::size_t kMinHorizon = 8;
   std::vector<TrustedMonitor> trusted;
   for (const auto& monitor : baseline_monitors) {
-    const auto cex =
-        trace::reject_prefix(monitor->spec()->dfa, monitor->observed());
-    if (cex.empty()) {
+    if (!monitor->rejected()) {
       trusted.push_back(
           {monitor->spec(), std::numeric_limits<std::size_t>::max()});
-    } else if (cex.size() - 1 >= kMinHorizon) {
-      trusted.push_back({monitor->spec(), cex.size() - 1});
+    } else if (monitor->observed().size() - 1 >= kMinHorizon) {
+      trusted.push_back({monitor->spec(), monitor->observed().size() - 1});
     }
   }
   dc.monitors = static_cast<int>(trusted.size());

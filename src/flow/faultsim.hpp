@@ -18,8 +18,13 @@
 //      netlist delay perturbation), one fault plan per fresh simulation;
 //   4. classifies every run: a fault is *detected* when the run
 //      deadlocks, hangs, produces wrong outputs, or a trace monitor
-//      rejects the observed behaviour (trace::reject_prefix yields a
-//      minimal counterexample); otherwise it was *silently tolerated*.
+//      rejects the observed behaviour (the rejected prefix is a minimal
+//      counterexample); otherwise it was *silently tolerated*.  Monitors
+//      step their DFAs online, edge by edge, and the simulation stops as
+//      soon as the trace verdict can no longer change (the first
+//      monitor in index order that rejects has rejected, and every
+//      monitor before it has settled), instead of running on to the
+//      event budget.
 //
 // Everything is deterministic for a given seed: the fault list, the
 // simulations, and the JSON artifact (which carries no wall-clock data),
@@ -38,7 +43,10 @@ namespace bb::flow {
 /// Schema of CampaignResult::to_json.  Version 2: util::SplitMix64::below
 /// switched from modulo reduction to unbiased rejection sampling, so the
 /// PRNG-sampled fault list for a given seed differs from version 1.
-inline constexpr int kFaultCampaignSchemaVersion = 2;
+/// Version 3: a run stops once its trace verdict is fixed, so the
+/// `detail` of a trace-counterexample run describes the run up to that
+/// point (e.g. "... [run: stopped]"); every other field is unchanged.
+inline constexpr int kFaultCampaignSchemaVersion = 3;
 
 /// Verdict for one injected fault.
 enum class FaultOutcome {
@@ -63,10 +71,13 @@ struct FaultRun {
   std::string kind;   ///< "stuck-at-0/1", "bit-flip", "delay-perturbation"
   FaultOutcome outcome = FaultOutcome::kTolerated;
   bool detected = false;
-  std::string detail;   ///< benchmark detail line or crash message
+  /// Benchmark detail line or crash message.  For a trace-counterexample
+  /// run it describes the run up to the point where the simulation was
+  /// stopped.
+  std::string detail;
   std::string monitor;  ///< controller whose monitor rejected, if any
-  /// Minimal rejected trace prefix (trace::reject_prefix), the
-  /// counterexample against the controller's specification language.
+  /// Minimal rejected trace prefix, the counterexample against the
+  /// controller's specification language.
   std::vector<std::string> counterexample;
 };
 

@@ -106,7 +106,7 @@ class ProcedureGen {
     }
     const int n_vars = 1 + static_cast<int>(rng_.below(3));
     for (int i = 0; i < n_vars; ++i) {
-      const std::string name = "v" + std::string(1, static_cast<char>('a' + i));
+      const std::string name{'v', static_cast<char>('a' + i)};
       proc.variables.push_back(balsa::VariableDecl{name, width_});
       rs.vars.push_back(name);
     }

@@ -62,7 +62,9 @@ std::string base_request(util::SplitMix64& rng) {
   util::JsonWriter w;
   w.begin_object();
   w.member("schema_version", 1);
-  w.member("id", "f" + std::to_string(rng.below(1000)));
+  std::string id = "f";
+  id += std::to_string(rng.below(1000));
+  w.member("id", id);
   w.member("op", op);
   if (std::string_view(op) == "synthesize" ||
       std::string_view(op) == "analyze") {

@@ -275,7 +275,9 @@ Report lint_gates(const netlist::GateNetlist& net,
 
   const auto net_label = [&](int id) {
     const std::string& name = net.net_name(id);
-    return "net " + (name.empty() ? "#" + std::to_string(id) : quoted(name));
+    std::string label = name.empty() ? "net #" : "net ";
+    label += name.empty() ? std::to_string(id) : quoted(name);
+    return label;
   };
   const auto gate_label = [&](int g) {
     return gates[g].cell + " (gate #" + std::to_string(g) + ")";

@@ -136,7 +136,8 @@ MachineSpec extract(const bm::Spec& spec) {
   machine.inputs = spec.input_names();
   const std::vector<std::string> outputs = spec.output_names();
   for (int s = 0; s < spec.num_states; ++s) {
-    machine.state_bits.push_back("y" + std::to_string(s));
+    machine.state_bits.push_back("y");
+    machine.state_bits.back() += std::to_string(s);
   }
 
   const CubeFactory cubes(machine.inputs, spec.num_states);

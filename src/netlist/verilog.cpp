@@ -9,7 +9,11 @@ namespace {
 std::string net_ref(const GateNetlist& n, int id) {
   const std::string& name = n.net_name(id);
   if (!name.empty()) return util::replace_all(name, ".", "_");
-  return "n" + std::to_string(id);
+  // Appended rather than "n" + to_string: GCC 12 -O3 reports a false
+  // -Wrestrict on the concatenation.
+  std::string ref = "n";
+  ref += std::to_string(id);
+  return ref;
 }
 
 std::string primitive(CellFn fn) {

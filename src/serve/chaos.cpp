@@ -91,7 +91,7 @@ std::string job_bms(int g) {
 
 Job make_job(int cycle, int k, int g) {
   Job job;
-  job.id = "c" + std::to_string(cycle) + "-" + std::to_string(k);
+  job.id = std::string("c") + std::to_string(cycle) + "-" + std::to_string(k);
   const std::string bms = job_bms(g);
   job.expected_sol = minimalist::synthesize(bm::parse_bms(bms)).to_sol();
   util::JsonWriter w;
@@ -265,7 +265,9 @@ ChaosResult run_chaos(const ChaosOptions& options) {
     report.expected_crash = site.expects_crash;
     std::string spec = site.spec_head;
     if (site.parametric) {
-      spec += "(" + std::to_string(1 + rng.below(4)) + ")";
+      spec += '(';
+      spec += std::to_string(1 + rng.below(4));
+      spec += ')';
     }
     if (rng.below(4) == 0) {
       // Stack a torn-write fault on top: every atomic write is cut

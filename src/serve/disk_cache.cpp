@@ -14,6 +14,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/serve/codec.hpp"
 #include "src/util/failpoint.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
@@ -80,7 +81,7 @@ std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
   if (!checksum_line) return std::nullopt;
   // The checksum covers the access counter, the key and the payload
   // exactly as stored, so any torn or bit-flipped byte is caught here.
-  if (hex64(fnv1a64(rest)) != *checksum_line) return std::nullopt;
+  if (util::content_digest(rest) != *checksum_line) return std::nullopt;
   const auto access_line = take_line();
   const auto keylen_line = take_line();
   if (!access_line || !keylen_line) return std::nullopt;
@@ -105,7 +106,7 @@ std::string DiskCache::render_entry(const std::string& key,
                      std::to_string(key.size()) + "\n" + key + "\n" +
                      std::string(payload);
   return "bbdc " + std::to_string(kDiskEntryVersion) + "\n" +
-         hex64(fnv1a64(body)) + "\n" + std::move(body);
+         util::content_digest(body) + "\n" + std::move(body);
 }
 
 DiskCache::DiskCache(std::string root, std::uint64_t max_bytes)
@@ -135,8 +136,8 @@ std::unique_ptr<DiskCache> DiskCache::from_env() {
 std::string DiskCache::entry_path(const std::string& key) const {
   // Two independent FNV-1a streams give a 128-bit address; the embedded
   // key is still verified on load, so even a collision only costs a miss.
-  return root_ + "/" + hex64(fnv1a64(key)) +
-         hex64(fnv1a64(key, 0x9e3779b97f4a7c15ull)) + ".bbc";
+  return root_ + "/" + util::hex64(util::fnv1a64(key)) +
+         util::hex64(util::fnv1a64(key, 0x9e3779b97f4a7c15ull)) + ".bbc";
 }
 
 void DiskCache::recover() {
@@ -162,9 +163,11 @@ void DiskCache::recover() {
     const fs::path qdir = fs::path(root_) / kQuarantineDir;
     std::error_code qec;
     fs::create_directories(qdir, qec);
-    const fs::path target =
-        qdir / ("g" + std::to_string(generation_) + "." +
-                path.filename().string());
+    std::string name = "g";
+    name += std::to_string(generation_);
+    name += '.';
+    name += path.filename().string();
+    const fs::path target = qdir / name;
     fs::rename(path, target, qec);
     if (qec) fs::remove(path, qec);  // quarantine dir unwritable: drop
     ++stats_.quarantined;

@@ -1,5 +1,6 @@
 #include "src/sim/kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/obs/metrics.hpp"
@@ -54,6 +55,7 @@ void Simulator::apply(int net, bool value) {
 
 RunStatus Simulator::run_status(double max_time_ns, std::uint64_t max_events) {
   obs::Span span("sim.run", obs::kCatSim);
+  stop_requested_ = false;
   if (!started_) {
     started_ = true;
     for (Process* p : processes_) p->start(*this);
@@ -64,14 +66,14 @@ RunStatus Simulator::run_status(double max_time_ns, std::uint64_t max_events) {
   std::size_t queue_high_water = queue_.size();
   RunStatus status = RunStatus::kQuiescent;
   while (!queue_.empty() || !callbacks_.empty()) {
+    if (stop_requested_) {
+      status = RunStatus::kStopped;
+      break;
+    }
     if (events_ + 1 > max_events) {
       status = RunStatus::kEventBudget;
       break;
     }
-    ++events_;
-    ++total_events_;
-    queue_high_water = std::max(queue_high_water, queue_.size());
-
     const double net_time =
         queue_.empty() ? 1e300 : queue_.top().time;
     const double cb_time =
@@ -81,6 +83,9 @@ RunStatus Simulator::run_status(double max_time_ns, std::uint64_t max_events) {
       status = RunStatus::kTimeout;
       break;
     }
+    ++events_;
+    ++total_events_;
+    queue_high_water = std::max(queue_high_water, queue_.size());
 
     if (cb_time <= net_time) {
       Callback cb = callbacks_.top();
@@ -112,6 +117,7 @@ std::string_view run_status_name(RunStatus status) {
     case RunStatus::kQuiescent: return "quiescent";
     case RunStatus::kTimeout: return "timeout";
     case RunStatus::kEventBudget: return "event budget exhausted";
+    case RunStatus::kStopped: return "stopped";
   }
   return "unknown";
 }

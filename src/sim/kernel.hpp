@@ -23,9 +23,10 @@ enum class RunStatus {
   kQuiescent,    ///< no events left: the model settled
   kTimeout,      ///< the next event lies beyond max_time_ns
   kEventBudget,  ///< max_events exceeded (livelock or oscillation)
+  kStopped,      ///< a process or callback called Simulator::stop()
 };
 
-/// "quiescent" / "timeout" / "event budget exhausted".
+/// "quiescent" / "timeout" / "event budget exhausted" / "stopped".
 std::string_view run_status_name(RunStatus status);
 
 /// A behavioural participant: testbench or datapath model.
@@ -65,6 +66,12 @@ class Simulator {
   /// can be re-run any number of times.
   RunStatus run_status(double max_time_ns = 1e9,
                        std::uint64_t max_events = 50'000'000);
+
+  /// Asks the running run_status() call to return kStopped before it
+  /// handles the next event (callable from Process::on_change or a
+  /// call_at callback).  The next run_status() call clears the request
+  /// and resumes from the pending events.
+  void stop() { stop_requested_ = true; }
 
   /// Bool-compatible wrapper around run_status(): true on quiescence.
   bool run(double max_time_ns = 1e9, std::uint64_t max_events = 50'000'000) {
@@ -107,6 +114,7 @@ class Simulator {
   std::vector<std::vector<Process*>> subscribers_;
   std::vector<Process*> processes_;
   bool started_ = false;
+  bool stop_requested_ = false;
 
   std::priority_queue<NetEvent, std::vector<NetEvent>, std::greater<>> queue_;
   std::priority_queue<Callback, std::vector<Callback>, std::greater<>>

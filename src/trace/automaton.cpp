@@ -36,6 +36,11 @@ std::vector<std::string> Dfa::labels_from(int state) const {
   return out;
 }
 
+int Dfa::step(int state, const std::string& label) const {
+  const auto it = delta.find({state, label});
+  return it == delta.end() ? -1 : it->second;
+}
+
 Dfa determinize(const petri::Lts& lts) {
   Dfa dfa;
   std::map<StateSet, int> index;
@@ -103,9 +108,8 @@ std::vector<std::string> reject_prefix(const Dfa& dfa,
   std::vector<std::string> prefix;
   for (const std::string& label : trace) {
     prefix.push_back(label);
-    const auto it = dfa.delta.find({state, label});
-    if (it == dfa.delta.end()) return prefix;
-    state = it->second;
+    state = dfa.step(state, label);
+    if (state < 0) return prefix;
   }
   return {};
 }

@@ -25,6 +25,12 @@ struct Dfa {
 
   /// All labels leaving `state`.
   std::vector<std::string> labels_from(int state) const;
+
+  /// The successor of `state` on `label`, or -1 when no edge leaves
+  /// `state` with that label (the label is rejected).  One step of an
+  /// online membership walk, as the fault campaign's monitors take one
+  /// per observed edge.
+  int step(int state, const std::string& label) const;
 };
 
 /// Subset construction with tau-closure over an LTS.
@@ -44,8 +50,8 @@ std::vector<std::string> containment_counterexample(const Dfa& a,
 /// Membership check for one observed trace: returns the shortest prefix
 /// of `trace` that `dfa` rejects (a minimal counterexample against the
 /// specification language), or empty when the whole trace is accepted.
-/// This is how the fault-injection campaign turns a recorded gate-level
-/// signal-edge sequence into a trace-verifier verdict.
+/// The fault-injection campaign takes the same walk online, one
+/// Dfa::step per observed signal edge.
 std::vector<std::string> reject_prefix(const Dfa& dfa,
                                        const std::vector<std::string>& trace);
 

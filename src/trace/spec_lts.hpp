@@ -7,8 +7,8 @@
 // expansion serializes).  This translates a bm::Spec into a labelled
 // transition system whose traces are every legal edge sequence of the
 // machine: per arc, the input burst's edges in any order, then the
-// output burst's edges in any order.  Determinize the result and feed
-// observed "<wire>+/-" traces to reject_prefix.
+// output burst's edges in any order.  Determinize the result and walk
+// observed "<wire>+/-" traces with Dfa::step (or reject_prefix).
 #pragma once
 
 #include "src/bm/spec.hpp"

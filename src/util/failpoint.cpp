@@ -88,9 +88,14 @@ std::optional<Site> parse_action(std::string_view text, std::string* error) {
   }
   const auto count = parse_ll(arg);
   if (!count || *count < 1) {
-    return fail("'" + std::string(head) +
-                "()' expects a positive integer, got '" + std::string(arg) +
-                "'");
+    // Built with += : GCC 12 -O3 reports a false -Wrestrict on the
+    // equivalent + chain.
+    std::string message = "'";
+    message += head;
+    message += "()' expects a positive integer, got '";
+    message += arg;
+    message += "'";
+    return fail(message);
   }
   if (head == "every") {
     site.action = Action::kEvery;

@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "src/balsa/compile.hpp"
 #include "src/designs/designs.hpp"
 #include "src/flow/faultsim.hpp"
 #include "src/flow/flow.hpp"
+#include "src/obs/trace.hpp"
+#include "src/util/json_parse.hpp"
+
+#ifndef BB_REGRESSION_DIR
+#error "BB_REGRESSION_DIR must point at tests/regressions"
+#endif
 
 namespace bb {
 namespace {
@@ -172,6 +180,91 @@ TEST(Campaign, DifferentSeedsSampleDifferentFaults) {
   for (const auto& r : a.runs) fa.insert(r.fault);
   for (const auto& r : b.runs) fb.insert(r.fault);
   EXPECT_NE(fa, fb);
+}
+
+TEST(Campaign, RunSpansReportStopAndDecisionPoint) {
+  // A run stopped early says so on its faultsim.run span (with the
+  // event at which its verdict was fixed) and on its sim.run span; a
+  // run that was not stopped carries the kernel's own status instead.
+  obs::Tracer::instance().enable();
+  flow::run_design_campaign("systolic", flow::FlowOptions::optimized(),
+                            small_campaign());
+  obs::Tracer::instance().disable();
+  const auto trace = util::parse_json(obs::Tracer::instance().flush_json());
+  ASSERT_TRUE(trace.has_value());
+  const util::JsonValue* events = trace->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  int stopped = 0;
+  int not_stopped = 0;
+  bool sim_run_stopped = false;
+  for (const util::JsonValue& event : events->array) {
+    const std::string name = event.get_string("name", "");
+    const util::JsonValue* args = event.get("args");
+    if (args == nullptr) continue;
+    if (name == "sim.run" && args->get_string("status", "") == "stopped") {
+      sim_run_stopped = true;
+    }
+    if (name != "faultsim.run") continue;
+    if (args->get_string("stop", "") == "stopped") {
+      ++stopped;
+      EXPECT_EQ(args->get_string("outcome", ""), "trace-counterexample");
+      EXPECT_GE(args->get_int("decided_at_events", 0), 1);
+    } else {
+      ++not_stopped;
+      EXPECT_NE(args->get_string("stop", ""), "");
+      EXPECT_EQ(args->get("decided_at_events"), nullptr);
+    }
+  }
+  EXPECT_GE(stopped, 1);
+  EXPECT_GE(not_stopped, 1);
+  EXPECT_TRUE(sim_run_stopped);
+}
+
+/// Every classification field of every run (all but `detail`, which
+/// describes how far the simulation ran), then the totals: one line per
+/// run, "design | fault | kind | outcome | detected | monitor | cex".
+std::string verdict_lines(const flow::CampaignResult& result) {
+  std::string s = "seed " + std::to_string(result.seed) + "\n";
+  for (const flow::DesignCampaign& d : result.designs) {
+    for (const flow::FaultRun& run : d.runs) {
+      s += d.design + " | " + run.fault + " | " + run.kind + " | " +
+           std::string(flow::fault_outcome_name(run.outcome)) + " | " +
+           (run.detected ? "detected" : "tolerated") + " | " + run.monitor +
+           " |";
+      for (const std::string& label : run.counterexample) s += " " + label;
+      s += "\n";
+    }
+  }
+  s += "totals: injected " + std::to_string(result.total_injected()) +
+       " detected " + std::to_string(result.total_detected()) +
+       " tolerated " + std::to_string(result.total_tolerated()) +
+       " silent_corruption " +
+       std::to_string(result.total_silent_corruption()) + "\n";
+  return s;
+}
+
+TEST(Campaign, OnlineVerdictsMatchGolden) {
+  // Stopping a run once its trace verdict is fixed must not change any
+  // classification.  The golden file was recorded by the post-run
+  // classifier (full simulation to the budget, then one reject_prefix
+  // pass per monitor) under the same 200k-event budget, which keeps the
+  // test fast under sanitizers while leaving several runs budget-bound.
+  const std::vector<std::string> designs = {"systolic", "wagging", "stack",
+                                            "ssem"};
+  std::string actual;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    flow::CampaignOptions options;
+    options.seed = seed;
+    options.max_events = 200'000;
+    actual += verdict_lines(flow::run_fault_campaign(
+        designs, flow::FlowOptions::optimized(), options));
+  }
+  std::ifstream in(std::string(BB_REGRESSION_DIR) +
+                   "/fault-campaign-verdicts.txt");
+  ASSERT_TRUE(in) << "missing golden file under " << BB_REGRESSION_DIR;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
 #include "src/bm/compile.hpp"
 #include "src/bm/validate.hpp"
@@ -146,8 +147,9 @@ class ChGenerator {
   }
 
   ch::ExprPtr channel() {
-    return ch::ptop(ch::Activity::kActive,
-                    "c" + std::to_string(next_channel_++));
+    std::string name = "c";
+    name += std::to_string(next_channel_++);
+    return ch::ptop(ch::Activity::kActive, std::move(name));
   }
 
   std::mt19937 rng_;

@@ -97,8 +97,48 @@ TEST(Kernel, RunStatusTimeoutThenResume) {
   sim.schedule(0, true, 10.0);
   EXPECT_EQ(sim.run_status(5.0), RunStatus::kTimeout);
   EXPECT_FALSE(sim.value(0)) << "event beyond the horizon must not fire";
+  EXPECT_EQ(sim.events_processed(), 0u) << "an unhandled event must not count";
   // Extending the horizon lets the same event complete.
   EXPECT_EQ(sim.run_status(20.0), RunStatus::kQuiescent);
+  EXPECT_TRUE(sim.value(0));
+}
+
+TEST(Kernel, StopFromOnChangeEndsRunAtNextEvent) {
+  // Five nets rise one after another; the watcher asks for a stop when
+  // net 2 rises.  The run returns before handling net 3's event, and a
+  // later call resumes from the pending events.
+  struct Stopper : Process {
+    void on_change(Simulator& sim, int net) override {
+      if (net == 2) sim.stop();
+    }
+  };
+  Simulator sim(5);
+  Stopper stopper;
+  for (int net = 0; net < 5; ++net) {
+    sim.subscribe(net, &stopper);
+    sim.schedule(net, true, 1.0 + net);
+  }
+  EXPECT_EQ(sim.run_status(), RunStatus::kStopped);
+  EXPECT_EQ(sim.events_processed(), 3u) << "only handled events count";
+  EXPECT_TRUE(sim.value(2));
+  EXPECT_FALSE(sim.value(3)) << "the next event must not be handled";
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+
+  EXPECT_EQ(sim.run_status(), RunStatus::kQuiescent);
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.total_events(), 5u);
+  EXPECT_TRUE(sim.value(3));
+  EXPECT_TRUE(sim.value(4));
+}
+
+TEST(Kernel, StopFromCallback) {
+  Simulator sim(1);
+  sim.call_at(1.0, [&] { sim.stop(); });
+  sim.schedule(0, true, 2.0);
+  EXPECT_EQ(sim.run_status(), RunStatus::kStopped);
+  EXPECT_EQ(sim.events_processed(), 1u);
+  EXPECT_FALSE(sim.value(0));
+  EXPECT_TRUE(sim.run());
   EXPECT_TRUE(sim.value(0));
 }
 
@@ -107,6 +147,7 @@ TEST(Kernel, RunStatusNames) {
   EXPECT_EQ(run_status_name(RunStatus::kTimeout), "timeout");
   EXPECT_EQ(run_status_name(RunStatus::kEventBudget),
             "event budget exhausted");
+  EXPECT_EQ(run_status_name(RunStatus::kStopped), "stopped");
 }
 
 TEST(GateSim, InverterChain) {
