@@ -16,9 +16,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -41,14 +39,12 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 std::string slurp_or_die(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  auto text = bb::util::read_file(path);
+  if (!text) {
     std::cerr << "bench_incr: cannot read '" << path << "'\n";
     std::exit(1);
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return std::move(*text);
 }
 
 struct Run {

@@ -540,6 +540,25 @@ int CampaignResult::total_silent_corruption() const {
   return n;
 }
 
+std::vector<std::string> CampaignResult::floor_failures() const {
+  std::vector<std::string> failures;
+  for (const DesignCampaign& d : designs) {
+    if (!d.baseline_ok) {
+      failures.push_back(d.design + ": healthy baseline failed");
+    }
+    const bool trace_hit = std::any_of(
+        d.runs.begin(), d.runs.end(), [](const FaultRun& run) {
+          return run.outcome == FaultOutcome::kTraceCounterexample &&
+                 run.kind.starts_with("stuck-at");
+        });
+    if (!trace_hit) {
+      failures.push_back(d.design +
+                         ": no stuck-at fault was caught by the trace verifier");
+    }
+  }
+  return failures;
+}
+
 std::string CampaignResult::to_text() const {
   std::string s = "fault campaign, seed " + std::to_string(seed) + "\n";
   for (const DesignCampaign& d : designs) {

@@ -125,6 +125,11 @@ struct CampaignResult {
   int total_tolerated() const;
   int total_silent_corruption() const;
 
+  /// The campaign's sanity floor: one line per design whose healthy
+  /// baseline failed, or on which no stuck-at fault was caught as a
+  /// trace counterexample.  Empty when the floor holds.
+  std::vector<std::string> floor_failures() const;
+
   /// Human-readable per-design summary.
   std::string to_text() const;
   /// Deterministic machine-readable artifact: same seed, same bytes (no

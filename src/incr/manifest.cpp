@@ -2,11 +2,9 @@
 
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <stdexcept>
 
 #include "src/util/failpoint.hpp"
-#include "src/util/hash.hpp"
 #include "src/util/io.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
@@ -17,54 +15,51 @@ namespace bb::incr {
 
 namespace {
 
-/// Frames `body` under a magic line and a checksum line:
-///   <magic> <version>\n<16-hex fnv1a of body>\n<body>
-std::string frame(std::string_view magic, std::string body) {
-  std::string out;
-  out += magic;
-  out += ' ';
-  out += std::to_string(kManifestVersion);
-  out += '\n';
-  out += util::content_digest(body);
-  out += '\n';
-  out += body;
-  return out;
-}
-
-/// Inverse of frame(): verifies magic, version and checksum, returns the
-/// body.  nullopt with a reason on any defect — the caller treats every
-/// defect identically (full rebuild), so reasons are diagnostics only.
-std::optional<std::string> unframe(std::string_view magic,
-                                   std::string_view bytes,
-                                   std::string* error) {
-  const auto fail = [error](std::string reason) -> std::optional<std::string> {
-    if (error != nullptr) *error = std::move(reason);
-    return std::nullopt;
-  };
-  const std::size_t magic_end = bytes.find('\n');
-  if (magic_end == std::string_view::npos) return fail("missing magic line");
-  const std::string expected = std::string(magic) + " " +
-                               std::to_string(kManifestVersion);
-  const std::string_view magic_line = bytes.substr(0, magic_end);
-  if (magic_line != expected) {
-    return fail("bad magic/version line '" + std::string(magic_line) +
-                "' (want '" + expected + "')");
+/// Unframes `bytes` under `magic` and parses the body as a JSON object
+/// of this format's schema_version.  nullopt with a reason on any
+/// defect — the caller treats every defect identically (full rebuild),
+/// so reasons are diagnostics only.
+std::optional<util::JsonValue> parse_framed(std::string_view magic,
+                                            std::string_view bytes,
+                                            std::string* error) {
+  const auto body = util::unframe(magic, kManifestVersion, bytes, error);
+  if (!body) return std::nullopt;
+  std::string reason;
+  auto json = util::parse_json(*body, &reason);
+  if (!json || !json->is_object()) {
+    reason = "bad JSON: " + reason;
+  } else if (json->get_int("schema_version", -1) != kManifestVersion) {
+    reason = "schema_version mismatch";
+  } else {
+    return json;
   }
-  const std::size_t sum_end = bytes.find('\n', magic_end + 1);
-  if (sum_end == std::string_view::npos) return fail("missing checksum line");
-  const std::string_view sum = bytes.substr(magic_end + 1,
-                                            sum_end - magic_end - 1);
-  const std::string_view body = bytes.substr(sum_end + 1);
-  if (sum != util::content_digest(body)) return fail("checksum mismatch");
-  return std::string(body);
+  if (error != nullptr) *error = std::move(reason);
+  return std::nullopt;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
+std::optional<std::string> read_project_file(const std::string& path,
+                                             std::string* error) {
+  auto bytes = util::read_file(path);
+  if (!bytes && error != nullptr) *error = "cannot open '" + path + "'";
+  return bytes;
+}
+
+/// Atomically writes one project file, creating its directory.  Returns
+/// false on I/O failure or an injected `site` failpoint.
+bool store_project_file(const char* site, const fs::path& path,
+                        const std::string& bytes, std::string* error) {
+  try {
+    if (util::failpoint(site)) {
+      throw std::runtime_error(std::string("injected ") + site + " failure");
+    }
+    std::error_code ec;
+    fs::create_directories(path.parent_path(), ec);
+    util::write_file_atomic(path.string(), bytes);
+    return true;
+  } catch (const std::exception& e) {
+    if (error != nullptr) *error = e.what();
+    return false;
+  }
 }
 
 }  // namespace
@@ -98,23 +93,17 @@ std::string manifest_to_bytes(const Manifest& manifest) {
     w.end_array().end_object();
   }
   w.end_array().end_object();
-  return frame("bbpm", w.str());
+  return util::frame("bbpm", kManifestVersion, w.str());
 }
 
 std::optional<Manifest> manifest_from_bytes(std::string_view bytes,
                                             std::string* error) {
-  const auto body = unframe("bbpm", bytes, error);
-  if (!body) return std::nullopt;
+  const auto json = parse_framed("bbpm", bytes, error);
+  if (!json) return std::nullopt;
   const auto fail = [error](std::string reason) -> std::optional<Manifest> {
     if (error != nullptr) *error = std::move(reason);
     return std::nullopt;
   };
-  std::string parse_error;
-  const auto json = util::parse_json(*body, &parse_error);
-  if (!json || !json->is_object()) return fail("bad JSON: " + parse_error);
-  if (json->get_int("schema_version", -1) != kManifestVersion) {
-    return fail("schema_version mismatch");
-  }
   Manifest manifest;
   manifest.library = json->get_string("library");
   manifest.options = json->get_string("options");
@@ -148,23 +137,13 @@ std::string artifact_to_bytes(const Artifact& artifact) {
   w.member("report", artifact.report);
   w.member("verilog", artifact.verilog);
   w.end_object();
-  return frame("bbart", w.str());
+  return util::frame("bbart", kManifestVersion, w.str());
 }
 
 std::optional<Artifact> artifact_from_bytes(std::string_view bytes,
                                             std::string* error) {
-  const auto body = unframe("bbart", bytes, error);
-  if (!body) return std::nullopt;
-  std::string parse_error;
-  const auto json = util::parse_json(*body, &parse_error);
-  if (!json || !json->is_object()) {
-    if (error != nullptr) *error = "bad JSON: " + parse_error;
-    return std::nullopt;
-  }
-  if (json->get_int("schema_version", -1) != kManifestVersion) {
-    if (error != nullptr) *error = "schema_version mismatch";
-    return std::nullopt;
-  }
+  const auto json = parse_framed("bbart", bytes, error);
+  if (!json) return std::nullopt;
   return Artifact{json->get_string("report"), json->get_string("verilog")};
 }
 
@@ -190,59 +169,32 @@ std::string artifact_path(const std::string& project_dir,
 
 std::optional<Manifest> load_manifest(const std::string& project_dir,
                                       std::string* error) {
-  try {
-    return manifest_from_bytes(read_file(manifest_path(project_dir)), error);
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return std::nullopt;
-  }
+  const auto bytes = read_project_file(manifest_path(project_dir), error);
+  if (!bytes) return std::nullopt;
+  return manifest_from_bytes(*bytes, error);
 }
 
 bool store_manifest(const std::string& project_dir, const Manifest& manifest,
                     std::string* error) {
-  try {
-    if (util::failpoint("incr.manifest.store")) {
-      throw std::runtime_error("injected incr.manifest.store failure");
-    }
-    std::error_code ec;
-    fs::create_directories(project_dir, ec);
-    util::write_file_atomic(manifest_path(project_dir),
-                            manifest_to_bytes(manifest));
-    return true;
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return false;
-  }
+  return store_project_file("incr.manifest.store", manifest_path(project_dir),
+                            manifest_to_bytes(manifest), error);
 }
 
 std::optional<Artifact> load_artifact(const std::string& project_dir,
                                       std::string_view file_name,
                                       std::string* error) {
-  try {
-    return artifact_from_bytes(
-        read_file(artifact_path(project_dir, file_name)), error);
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return std::nullopt;
-  }
+  const auto bytes =
+      read_project_file(artifact_path(project_dir, file_name), error);
+  if (!bytes) return std::nullopt;
+  return artifact_from_bytes(*bytes, error);
 }
 
 bool store_artifact(const std::string& project_dir,
                     std::string_view file_name, const Artifact& artifact,
                     std::string* error) {
-  try {
-    if (util::failpoint("incr.artifact.store")) {
-      throw std::runtime_error("injected incr.artifact.store failure");
-    }
-    std::error_code ec;
-    fs::create_directories(fs::path(project_dir) / kArtifactDir, ec);
-    util::write_file_atomic(artifact_path(project_dir, file_name),
-                            artifact_to_bytes(artifact));
-    return true;
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-    return false;
-  }
+  return store_project_file("incr.artifact.store",
+                            artifact_path(project_dir, file_name),
+                            artifact_to_bytes(artifact), error);
 }
 
 std::size_t gc_artifacts(const std::string& project_dir,

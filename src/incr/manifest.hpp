@@ -24,9 +24,10 @@
 // output — byte-identical to a full rebuild, because the artifacts *are*
 // the bytes a full rebuild would produce.
 //
-// Both files are framed the same way the disk cache frames its entries:
-// a magic + version line, a checksum line (util::fnv1a64 over the body),
-// then the body.  Readers verify the frame and treat ANY defect —
+// Both files use the on-disk frame of util::frame/util::unframe (the
+// one the disk cache's entries use too): a magic + version line, a
+// checksum line (util::content_digest of the body), then the body.
+// Readers verify the frame and treat ANY defect —
 // missing file, bad magic, version bump, checksum mismatch, malformed
 // JSON, half-written garbage — as "no manifest": the build degrades to a
 // full rebuild and rewrites the project state.  Corruption can cost

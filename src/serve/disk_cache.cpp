@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -37,17 +36,6 @@ constexpr const char* kJournalHeader = "bbdj 1";
 /// past the window is the residue of a crash.
 constexpr std::chrono::seconds kTmpGraceWindow{10};
 
-/// Reads a whole file; nullopt when it cannot be opened (racing delete,
-/// permissions) — always a miss, never an error.
-std::optional<std::string> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return buf.str();
-}
-
 obs::Counter& counter(const char* name) {
   return obs::Registry::global().counter(name);
 }
@@ -62,8 +50,12 @@ bool is_orphan_tmp(const std::string& filename) {
 
 std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
     std::string_view data) {
-  // Frame: "bbdc <version>\n<checksum>\n<access>\n<keylen>\n<key>\n<payload>".
-  std::string_view rest(data);
+  // Body of the util::frame: "<access>\n<keylen>\n<key>\n<payload>".  The
+  // frame's checksum covers the access counter, the key and the payload
+  // exactly as stored, so any torn or bit-flipped byte is caught.
+  const auto body = util::unframe("bbdc", kDiskEntryVersion, data);
+  if (!body) return std::nullopt;
+  std::string_view rest = *body;
   const auto take_line = [&rest]() -> std::optional<std::string_view> {
     const std::size_t nl = rest.find('\n');
     if (nl == std::string_view::npos) return std::nullopt;
@@ -71,17 +63,6 @@ std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
     rest = rest.substr(nl + 1);
     return line;
   };
-
-  const auto header = take_line();
-  if (!header || !util::starts_with(*header, "bbdc ")) return std::nullopt;
-  if (util::parse_ll(header->substr(5)).value_or(-1) != kDiskEntryVersion) {
-    return std::nullopt;
-  }
-  const auto checksum_line = take_line();
-  if (!checksum_line) return std::nullopt;
-  // The checksum covers the access counter, the key and the payload
-  // exactly as stored, so any torn or bit-flipped byte is caught here.
-  if (util::content_digest(rest) != *checksum_line) return std::nullopt;
   const auto access_line = take_line();
   const auto keylen_line = take_line();
   if (!access_line || !keylen_line) return std::nullopt;
@@ -102,11 +83,10 @@ std::optional<DiskCache::ParsedEntry> DiskCache::parse_entry(
 std::string DiskCache::render_entry(const std::string& key,
                                     std::string_view payload,
                                     std::uint64_t access) {
-  std::string body = std::to_string(access) + "\n" +
-                     std::to_string(key.size()) + "\n" + key + "\n" +
-                     std::string(payload);
-  return "bbdc " + std::to_string(kDiskEntryVersion) + "\n" +
-         util::content_digest(body) + "\n" + std::move(body);
+  const std::string body = std::to_string(access) + "\n" +
+                           std::to_string(key.size()) + "\n" + key + "\n" +
+                           std::string(payload);
+  return util::frame("bbdc", kDiskEntryVersion, body);
 }
 
 DiskCache::DiskCache(std::string root, std::uint64_t max_bytes)
@@ -148,7 +128,7 @@ void DiskCache::recover() {
   // open (quarantine files) names the pass that produced it.  A store
   // on a read-only filesystem keeps working with the in-memory stamp.
   const std::string gen_path = root_ + "/" + kGenerationFile;
-  if (const auto gen = slurp(gen_path)) {
+  if (const auto gen = util::read_file(gen_path)) {
     generation_ =
         static_cast<std::uint64_t>(util::parse_ll(util::trim(*gen)).value_or(0));
   }
@@ -181,7 +161,7 @@ void DiskCache::recover() {
   // invariant.  The journal file itself is written atomically, so it is
   // either absent, or complete and trustworthy.
   const std::string journal_path = root_ + "/" + kJournalFile;
-  if (const auto journal = slurp(journal_path)) {
+  if (const auto journal = util::read_file(journal_path)) {
     std::istringstream lines(*journal);
     std::string line;
     bool header_ok = std::getline(lines, line) && line == kJournalHeader;
@@ -195,7 +175,7 @@ void DiskCache::recover() {
         continue;
       }
       const fs::path victim = fs::path(root_) / filename;
-      const auto data = slurp(victim.string());
+      const auto data = util::read_file(victim.string());
       if (!data) continue;  // already unlinked before the crash
       const auto entry = parse_entry(*data);
       if (!entry) {
@@ -236,7 +216,7 @@ void DiskCache::recover() {
       continue;
     }
     if (!is_entry_file(path)) continue;
-    const auto data = slurp(path.string());
+    const auto data = util::read_file(path.string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
     if (!entry || entry_path(std::string(entry->key)) != path.string()) {
@@ -262,7 +242,7 @@ std::optional<minimalist::SynthesizedController> DiskCache::load(
     return std::nullopt;
   }
   const std::string path = entry_path(key);
-  const auto data = slurp(path);
+  const auto data = util::read_file(path);
   if (!data) {
     miss();
     return std::nullopt;
@@ -354,7 +334,7 @@ void DiskCache::evict_to_cap() {
   for (const auto& it : fs::directory_iterator(root_, ec)) {
     if (!it.is_regular_file(ec)) continue;
     if (!is_entry_file(it.path())) continue;
-    const auto data = slurp(it.path().string());
+    const auto data = util::read_file(it.path().string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
     EntryFile f;
@@ -400,7 +380,7 @@ void DiskCache::evict_to_cap() {
     // Re-check the victim's clock right before the unlink: another
     // process sharing the directory may have re-stored or touched it
     // since the scan, and a touched entry is live, not evictable.
-    const auto data = slurp(f.path.string());
+    const auto data = util::read_file(f.path.string());
     if (!data) continue;
     const auto entry = parse_entry(*data);
     if (entry && entry->access > f.access) continue;
@@ -433,7 +413,7 @@ DiskCache::VerifyReport DiskCache::verify_all() const {
   for (const auto& it : fs::directory_iterator(root_, ec)) {
     if (!it.is_regular_file(ec) || !is_entry_file(it.path())) continue;
     ++report.entries;
-    const auto data = slurp(it.path().string());
+    const auto data = util::read_file(it.path().string());
     const auto entry = data ? parse_entry(*data) : std::nullopt;
     const bool valid =
         entry && entry_path(std::string(entry->key)) == it.path().string() &&

@@ -35,7 +35,8 @@
 // crash mid-eviction can never drop an entry that was touched after the
 // eviction decision.
 //
-// Entry format (text, see DESIGN.md §15):
+// Entry format (text, see DESIGN.md §15), the util::frame layout with
+// magic "bbdc" around a body of four fields:
 //   bbdc <entry-version>
 //   <16-hex checksum of everything after this line>
 //   <access counter>

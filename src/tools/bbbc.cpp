@@ -25,9 +25,7 @@
 // --trace FILE (Chrome trace-event JSON; BB_TRACE env fallback),
 // --metrics FILE (metrics snapshot JSON; BB_METRICS env fallback).
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -43,6 +41,7 @@
 #include "src/netlist/verilog.hpp"
 #include "src/obs/session.hpp"
 #include "src/opt/cluster.hpp"
+#include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
 namespace {
@@ -61,15 +60,13 @@ std::string load_source(const std::string& arg) {
   for (const auto* d : bb::designs::all_designs()) {
     if (d->name == arg) return d->source;
   }
-  std::ifstream file(arg);
-  if (!file) {
+  auto text = bb::util::read_file(arg);
+  if (!text) {
     std::cerr << "bbbc: cannot open '" << arg
               << "' (and it is not a built-in design)\n";
     std::exit(1);
   }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
+  return std::move(*text);
 }
 
 }  // namespace

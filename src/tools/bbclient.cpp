@@ -52,16 +52,15 @@
 //                      dedupe a retry whose original actually ran
 //   --backoff-ms N     first retry delay, doubled per retry (default 50)
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include <unistd.h>
 
 #include "src/serve/client.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/util/io.hpp"
 #include "src/util/json.hpp"
 #include "src/util/json_parse.hpp"
 #include "src/util/strings.hpp"
@@ -98,18 +97,12 @@ int exit_code_for_status(const std::string& status) {
 }
 
 std::string slurp_or_die(const std::string& path) {
-  std::ostringstream buf;
-  if (path == "-") {
-    buf << std::cin.rdbuf();
-  } else {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::cerr << "bb-client: cannot read '" << path << "'\n";
-      std::exit(2);
-    }
-    buf << in.rdbuf();
+  auto text = bb::util::read_file(path == "-" ? "/dev/stdin" : path);
+  if (!text) {
+    std::cerr << "bb-client: cannot read '" << path << "'\n";
+    std::exit(2);
   }
-  return buf.str();
+  return std::move(*text);
 }
 
 }  // namespace

@@ -17,6 +17,14 @@
 //   --unoptimized    template baseline flow instead of the clustered one
 //   --trace FILE     Chrome trace-event JSON (BB_TRACE env fallback)
 //   --metrics FILE   metrics snapshot JSON (BB_METRICS env fallback)
+//
+// The JSON carries no wall-clock content, so two runs with the same seed
+// are byte-identical; CI runs the campaign twice and cmp's the files.
+//
+// Exit status: 0 when every design's healthy baseline passed and at
+// least one stuck-at fault per design was caught as a trace
+// counterexample (the campaign's sanity floor), 1 when the floor failed
+// or the campaign raised an error, 2 on usage errors.
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -91,7 +99,11 @@ int main(int argc, char** argv) {
       bb::util::write_file_atomic(json_path, result.to_json() + "\n");
       std::cout << "wrote " << json_path << "\n";
     }
-    return 0;
+    const std::vector<std::string> failures = result.floor_failures();
+    for (const std::string& failure : failures) {
+      std::cerr << "bb-faultsim: " << failure << "\n";
+    }
+    return failures.empty() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "bb-faultsim: " << e.what() << "\n";
     return 1;

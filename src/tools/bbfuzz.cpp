@@ -28,6 +28,11 @@
 //   --json FILE         write the campaign JSON artifact (atomic)
 //   --repro-dir DIR     write minimized reproducers here
 //
+// BB_TRACE / BB_METRICS name Chrome trace-event and metrics snapshot
+// files to write (see src/obs/session.hpp).  The JSON carries no
+// wall-clock content, so two runs with the same seed and count are
+// byte-identical.
+//
 // Exit status: 0 all cases clean, 1 discrepancy found (or internal
 // error), 2 usage.
 #include <cstdlib>
@@ -37,6 +42,7 @@
 
 #include "src/fuzz/campaign.hpp"
 #include "src/fuzz/proto.hpp"
+#include "src/obs/session.hpp"
 #include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
@@ -100,6 +106,17 @@ int main(int argc, char** argv) {
     }
   }
 
+  bb::obs::Session session(bb::obs::env_or("", "BB_TRACE"),
+                           bb::obs::env_or("", "BB_METRICS"));
+
+  const auto report = [&json_path](const auto& result, int failures) {
+    std::cout << result.to_text();
+    if (!json_path.empty()) {
+      bb::util::write_file_atomic(json_path, result.to_json() + "\n");
+      std::cout << "wrote " << json_path << "\n";
+    }
+    return failures > 0 ? 1 : 0;
+  };
   try {
     if (proto_mode) {
       bb::fuzz::ProtoFuzzOptions popts;
@@ -107,20 +124,10 @@ int main(int argc, char** argv) {
       popts.count = options.count;
       popts.time_budget_ms = options.time_budget_ms;
       const bb::fuzz::ProtoFuzzResult result = bb::fuzz::run_proto_fuzz(popts);
-      std::cout << result.to_text();
-      if (!json_path.empty()) {
-        bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-        std::cout << "wrote " << json_path << "\n";
-      }
-      return result.violations > 0 ? 1 : 0;
+      return report(result, result.violations);
     }
     const bb::fuzz::FuzzResult result = bb::fuzz::run_fuzz_campaign(options);
-    std::cout << result.to_text();
-    if (!json_path.empty()) {
-      bb::util::write_file_atomic(json_path, result.to_json() + "\n");
-      std::cout << "wrote " << json_path << "\n";
-    }
-    return result.discrepancies > 0 ? 1 : 0;
+    return report(result, result.discrepancies);
   } catch (const std::exception& e) {
     std::cerr << "bb-fuzz: " << e.what() << "\n";
     return 1;

@@ -42,6 +42,7 @@
 #include "src/lint/lint.hpp"
 #include "src/lint/sarif.hpp"
 #include "src/obs/session.hpp"
+#include "src/util/io.hpp"
 #include "src/util/strings.hpp"
 
 namespace {
@@ -62,15 +63,13 @@ std::string load_source(const std::string& arg) {
   for (const auto* d : bb::designs::all_designs()) {
     if (d->name == arg) return d->source;
   }
-  std::ifstream file(arg);
-  if (!file) {
+  auto text = bb::util::read_file(arg);
+  if (!text) {
     std::cerr << "bb-lint: cannot open '" << arg
               << "' (and it is not a built-in design)\n";
     std::exit(1);
   }
-  std::ostringstream text;
-  text << file.rdbuf();
-  return text.str();
+  return std::move(*text);
 }
 
 bb::lint::Severity parse_severity(const std::string& name) {
@@ -153,15 +152,13 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream file(baseline_path);
-    if (!file) {
+    const auto text = bb::util::read_file(baseline_path);
+    if (!text) {
       std::cerr << "bb-lint: cannot open baseline '" << baseline_path
                 << "'\n";
       return 1;
     }
-    std::ostringstream text;
-    text << file.rdbuf();
-    options.lint_options.baseline = bb::lint::parse_baseline(text.str());
+    options.lint_options.baseline = bb::lint::parse_baseline(*text);
   }
 
   // Tracing/metrics are env-only here (BB_TRACE/BB_METRICS); the lint

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,7 @@
 #include <unistd.h>
 
 #include "src/util/failpoint.hpp"
+#include "src/util/hash.hpp"
 
 namespace bb::util {
 
@@ -167,6 +170,55 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   }
   (void)failpoint("io.wfa.crash_after_rename");
   sync_parent_dir(path);
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  return std::move(buf).str();
+}
+
+std::string frame(std::string_view magic, int version, std::string_view body) {
+  std::string out(magic);
+  out += ' ';
+  out += std::to_string(version);
+  out += '\n';
+  out.reserve(out.size() + 17 + body.size());  // digest line + body
+  out += content_digest(body);
+  out += '\n';
+  out += body;
+  return out;
+}
+
+std::optional<std::string_view> unframe(std::string_view magic, int version,
+                                        std::string_view bytes,
+                                        std::string* error) {
+  const auto fail = [error](std::string reason)
+      -> std::optional<std::string_view> {
+    if (error != nullptr) *error = std::move(reason);
+    return std::nullopt;
+  };
+  const std::size_t magic_end = bytes.find('\n');
+  if (magic_end == std::string_view::npos) return fail("missing magic line");
+  std::string expected(magic);
+  expected += ' ';
+  expected += std::to_string(version);
+  const std::string_view magic_line = bytes.substr(0, magic_end);
+  if (magic_line != expected) {
+    return fail(std::string("bad magic/version line '")
+                    .append(magic_line)
+                    .append("' (want '" + expected + "')"));
+  }
+  const std::size_t sum_end = bytes.find('\n', magic_end + 1);
+  if (sum_end == std::string_view::npos) return fail("missing checksum line");
+  const std::string_view sum =
+      bytes.substr(magic_end + 1, sum_end - magic_end - 1);
+  const std::string_view body = bytes.substr(sum_end + 1);
+  if (sum != content_digest(body)) return fail("checksum mismatch");
+  return body;
 }
 
 }  // namespace bb::util

@@ -1,7 +1,9 @@
 // Small file-system and file-descriptor helpers shared by the service
-// tier, the benchmark runners and the tool binaries.
+// tier, the incremental build graph, the benchmark runners and the tool
+// binaries.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -27,6 +29,24 @@ namespace bb::util {
 /// sites io.wfa.crash_before_rename / io.wfa.crash_after_rename bracket
 /// the publication step for crash-consistency testing.
 void write_file_atomic(const std::string& path, const std::string& content);
+
+/// Reads a whole file in binary mode; nullopt when it cannot be opened
+/// or read.
+std::optional<std::string> read_file(const std::string& path);
+
+/// The one on-disk frame of every versioned file the tools persist
+/// (disk-cache entries, the incremental manifest and its artifacts):
+///   <magic> <version>\n<16-hex content_digest(body)>\n<body>
+/// A reader rejects a foreign file, a format revision, and a torn or
+/// bit-flipped body by one check before it parses anything.
+std::string frame(std::string_view magic, int version, std::string_view body);
+
+/// Verifies the magic/version line and the checksum and returns the body
+/// as a view into `bytes` (no copy).  nullopt on any defect, with a
+/// one-line reason in `error` when it is non-null.
+std::optional<std::string_view> unframe(std::string_view magic, int version,
+                                        std::string_view bytes,
+                                        std::string* error = nullptr);
 
 // ---- EINTR-retrying descriptor wrappers ----
 //

@@ -2,8 +2,8 @@
 // once / every / short / p), hit and trigger accounting, and the
 // integration with util::write_file_atomic whose crash windows the
 // chaos harness leans on.  Crash actions are exercised end to end by
-// bench/bench_chaos.cpp (they _exit the process, so a unit test cannot
-// observe them from the inside).
+// the bb-chaos campaign (src/tools/bbchaos.cpp; they _exit the process,
+// so a unit test cannot observe them from the inside).
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -167,6 +167,38 @@ TEST(Campaign, SameSeedSameJson) {
   EXPECT_EQ(a.to_text(), b.to_text());
   EXPECT_EQ(a.seed, 1u);
   EXPECT_EQ(a.total_injected(), a.total_detected() + a.total_tolerated());
+  EXPECT_TRUE(a.floor_failures().empty())
+      << a.floor_failures().front() << "\n" << a.to_text();
+}
+
+TEST(Campaign, FloorFailsOnBrokenBaselineOrNoStuckAtCounterexample) {
+  flow::FaultRun caught;
+  caught.kind = "stuck-at-0";
+  caught.outcome = flow::FaultOutcome::kTraceCounterexample;
+  flow::FaultRun flip = caught;
+  flip.kind = "bit-flip";
+  flow::FaultRun deadlock;
+  deadlock.kind = "stuck-at-1";
+  deadlock.outcome = flow::FaultOutcome::kDeadlock;
+
+  flow::CampaignResult result;
+  result.designs.resize(3);
+  result.designs[0].design = "good";
+  result.designs[0].baseline_ok = true;
+  result.designs[0].runs = {flip, caught};
+  result.designs[1].design = "broken";
+  result.designs[1].baseline_ok = false;
+  result.designs[1].runs = {caught};
+  result.designs[2].design = "blind";
+  result.designs[2].baseline_ok = true;
+  result.designs[2].runs = {flip, deadlock};
+
+  EXPECT_EQ(result.floor_failures(),
+            (std::vector<std::string>{
+                "broken: healthy baseline failed",
+                "blind: no stuck-at fault was caught by the trace verifier"}));
+  result.designs.erase(result.designs.begin() + 1, result.designs.end());
+  EXPECT_TRUE(result.floor_failures().empty());
 }
 
 TEST(Campaign, DifferentSeedsSampleDifferentFaults) {
